@@ -1451,6 +1451,11 @@ impl BaseFs {
     /// The commit body. The caller holds the transaction lock
     /// exclusively, so no mutation is mid-flight: the dirty metadata
     /// set is a consistent cut and `cur_seq` is a true high-water mark.
+    ///
+    /// Every successful commit is a persistence barrier, an empty one
+    /// included: with the data flushed and nothing dirty, every earlier
+    /// metadata change already sits in a flushed journal transaction,
+    /// so the cut at `cur_seq` is durable without writing anything.
     fn commit_with_txn_held(&self) -> FsResult<()> {
         let ctx = OpContext::new(OpKind::Sync, Site::JournalCommit);
         let _ = self.hook(&ctx)?;
@@ -1458,10 +1463,18 @@ impl BaseFs {
         // ordered mode: file data reaches the disk before the metadata
         // that references it
         self.pages.flush_data()?;
-        let mut images = self.pages.take_dirty_meta();
-        if images.is_empty() {
-            return Ok(());
+        let images = self.pages.take_dirty_meta();
+        if !images.is_empty() {
+            self.journal_meta(images)?;
         }
+        self.persisted_seq
+            .fetch_max(self.cur_seq.load(Ordering::Relaxed), Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Journal the dirty metadata images plus a fresh superblock as one
+    /// transaction.
+    fn journal_meta(&self, mut images: Vec<(u64, Vec<u8>)>) -> FsResult<()> {
         let (free_inodes, free_blocks) = {
             let alloc = self.alloc.lock();
             (alloc.free_inodes, alloc.free_blocks)
@@ -1477,10 +1490,7 @@ impl BaseFs {
         if self.validate_on_commit {
             self.validate_commit_images(&images)?;
         }
-        self.jmgr.lock().commit(self.dev.as_ref(), images)?;
-        self.persisted_seq
-            .fetch_max(self.cur_seq.load(Ordering::Relaxed), Ordering::Relaxed);
-        Ok(())
+        self.jmgr.lock().commit(self.dev.as_ref(), images)
     }
 
     /// Commit if the running transaction has grown past the bound.

@@ -599,6 +599,11 @@ fn persisted_seq_advances_on_commit() {
     fs.note_op_seq(8);
     fs.sync().unwrap();
     assert_eq!(fs.persisted_seq(), 8, "commit publishes the barrier");
+    // nothing is dirty now, yet the commit must still publish the
+    // barrier: read-only opens trim their records this way
+    fs.note_op_seq(9);
+    fs.sync().unwrap();
+    assert_eq!(fs.persisted_seq(), 9, "an empty commit is a barrier too");
 }
 
 #[test]

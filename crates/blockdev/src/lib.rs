@@ -5,7 +5,7 @@
 //!
 //! * [`BlockDevice`] — the synchronous, internally-synchronized block
 //!   interface both filesystems are built on (4 KiB blocks);
-//! * [`MemDisk`] — an in-memory disk with whole-image snapshot/restore
+//! * [`MemDisk`] — a sparse in-memory disk with whole-image snapshot/restore
 //!   (the workhorse for tests and benchmarks);
 //! * [`FileDisk`] — a file-backed disk for persistent images;
 //! * [`FaultyDisk`] — a wrapper injecting device-level faults: targeted

@@ -9,8 +9,13 @@ use rae_vfs::FsResult;
 /// The primary device for tests and benchmarks. Supports whole-image
 /// [`MemDisk::snapshot`] / [`MemDisk::from_image`], which crash-recovery
 /// tests use to capture "the state on disk at the moment of the crash".
+///
+/// The disk is sparse: a block is stored only after its first non-zero
+/// write, and an unstored block reads as zeros. A mostly empty disk
+/// therefore costs memory in proportion to what was written to it, not
+/// to its size.
 pub struct MemDisk {
-    blocks: Vec<RwLock<Box<[u8]>>>,
+    blocks: Vec<RwLock<Option<Box<[u8]>>>>,
 }
 
 impl std::fmt::Debug for MemDisk {
@@ -19,6 +24,15 @@ impl std::fmt::Debug for MemDisk {
             .field("blocks", &self.blocks.len())
             .finish()
     }
+}
+
+fn is_zero(data: &[u8]) -> bool {
+    data.iter().all(|&b| b == 0)
+}
+
+/// The stored form of one block's contents.
+fn stored(data: &[u8]) -> RwLock<Option<Box<[u8]>>> {
+    RwLock::new((!is_zero(data)).then(|| data.into()))
 }
 
 impl MemDisk {
@@ -30,9 +44,7 @@ impl MemDisk {
     #[must_use]
     pub fn new(block_count: u64) -> MemDisk {
         assert!(block_count > 0, "a disk needs at least one block");
-        let blocks = (0..block_count)
-            .map(|_| RwLock::new(vec![0u8; BLOCK_SIZE].into_boxed_slice()))
-            .collect();
+        let blocks = (0..block_count).map(|_| RwLock::new(None)).collect();
         MemDisk { blocks }
     }
 
@@ -49,10 +61,7 @@ impl MemDisk {
             "image length {} is not a positive multiple of {BLOCK_SIZE}",
             image.len()
         );
-        let blocks = image
-            .chunks_exact(BLOCK_SIZE)
-            .map(|c| RwLock::new(c.to_vec().into_boxed_slice()))
-            .collect();
+        let blocks = image.chunks_exact(BLOCK_SIZE).map(stored).collect();
         MemDisk { blocks }
     }
 
@@ -69,7 +78,7 @@ impl MemDisk {
         let mut buf = vec![0u8; BLOCK_SIZE];
         for bno in 0..count {
             dev.read_block(bno, &mut buf)?;
-            blocks.push(RwLock::new(buf.clone().into_boxed_slice()));
+            blocks.push(stored(&buf));
         }
         Ok(MemDisk { blocks })
     }
@@ -77,11 +86,20 @@ impl MemDisk {
     /// Copy the entire disk contents into one contiguous image.
     #[must_use]
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.blocks.len() * BLOCK_SIZE);
-        for b in &self.blocks {
-            out.extend_from_slice(&b.read()[..]);
+        let mut out = vec![0u8; self.blocks.len() * BLOCK_SIZE];
+        for (b, chunk) in self.blocks.iter().zip(out.chunks_exact_mut(BLOCK_SIZE)) {
+            if let Some(data) = b.read().as_deref() {
+                chunk.copy_from_slice(data);
+            }
         }
         out
+    }
+
+    /// Apply `f` to block `bno`'s stored contents, storing a zero block
+    /// first if it has none.
+    fn edit_block(&self, bno: u64, f: impl FnOnce(&mut [u8])) {
+        let mut guard = self.blocks[usize::try_from(bno).expect("bno fits usize")].write();
+        f(guard.get_or_insert_with(|| vec![0u8; BLOCK_SIZE].into_boxed_slice()));
     }
 
     /// Overwrite one block without the trait's error path (test helper
@@ -92,9 +110,7 @@ impl MemDisk {
     /// Panics on out-of-range `bno` or misshapen `data`.
     pub fn poke(&self, bno: u64, data: &[u8]) {
         assert_eq!(data.len(), BLOCK_SIZE);
-        self.blocks[usize::try_from(bno).expect("bno fits usize")]
-            .write()
-            .copy_from_slice(data);
+        self.edit_block(bno, |b| b.copy_from_slice(data));
     }
 
     /// Flip the bit at `(byte_offset, bit)` inside block `bno` — the
@@ -105,8 +121,7 @@ impl MemDisk {
     /// Panics on out-of-range coordinates.
     pub fn flip_bit(&self, bno: u64, byte_offset: usize, bit: u8) {
         assert!(byte_offset < BLOCK_SIZE && bit < 8);
-        let mut guard = self.blocks[usize::try_from(bno).expect("bno fits usize")].write();
-        guard[byte_offset] ^= 1 << bit;
+        self.edit_block(bno, |b| b[byte_offset] ^= 1 << bit);
     }
 }
 
@@ -118,8 +133,10 @@ impl BlockDevice for MemDisk {
     fn read_block(&self, bno: u64, buf: &mut [u8]) -> FsResult<()> {
         check_buf(buf.len())?;
         check_range(bno, self.block_count())?;
-        let guard = self.blocks[bno as usize].read();
-        buf.copy_from_slice(&guard[..]);
+        match self.blocks[bno as usize].read().as_deref() {
+            Some(data) => buf.copy_from_slice(data),
+            None => buf.fill(0),
+        }
         Ok(())
     }
 
@@ -127,7 +144,11 @@ impl BlockDevice for MemDisk {
         check_buf(buf.len())?;
         check_range(bno, self.block_count())?;
         let mut guard = self.blocks[bno as usize].write();
-        guard.copy_from_slice(buf);
+        match guard.as_deref_mut() {
+            Some(data) => data.copy_from_slice(buf),
+            None if is_zero(buf) => {}
+            None => *guard = Some(buf.into()),
+        }
         Ok(())
     }
 
@@ -228,6 +249,66 @@ mod tests {
         d.read_block(0, &mut r).unwrap();
         assert_eq!(r[10], 1 << 3);
         assert_eq!(r.iter().map(|b| b.count_ones()).sum::<u32>(), 1);
+    }
+
+    #[test]
+    fn zero_write_over_a_stored_block_reads_back_zeros() {
+        let d = MemDisk::new(2);
+        d.write_block(1, &vec![9u8; BLOCK_SIZE]).unwrap();
+        d.write_block(1, &vec![0u8; BLOCK_SIZE]).unwrap();
+        let mut r = vec![1u8; BLOCK_SIZE];
+        d.read_block(1, &mut r).unwrap();
+        assert!(r.iter().all(|&x| x == 0));
+    }
+
+    #[test]
+    fn zero_writes_store_nothing() {
+        let d = MemDisk::new(4);
+        d.write_block(2, &vec![0u8; BLOCK_SIZE]).unwrap();
+        assert!(d.blocks.iter().all(|b| b.read().is_none()));
+    }
+
+    #[test]
+    fn poke_and_flip_bit_on_never_written_blocks() {
+        let d = MemDisk::new(3);
+        let mut b = vec![0u8; BLOCK_SIZE];
+        b[5] = 0x5A;
+        d.poke(0, &b);
+        d.flip_bit(2, BLOCK_SIZE - 1, 7);
+        let mut r = vec![0u8; BLOCK_SIZE];
+        d.read_block(0, &mut r).unwrap();
+        assert_eq!(r, b);
+        d.read_block(2, &mut r).unwrap();
+        assert_eq!(r[BLOCK_SIZE - 1], 0x80);
+        assert_eq!(r.iter().map(|b| b.count_ones()).sum::<u32>(), 1);
+        d.read_block(1, &mut r).unwrap();
+        assert!(r.iter().all(|&x| x == 0), "untouched block stays zero");
+    }
+
+    /// Which blocks hold storage, in order.
+    fn stored_blocks(d: &MemDisk) -> Vec<bool> {
+        d.blocks.iter().map(|b| b.read().is_some()).collect()
+    }
+
+    #[test]
+    fn copies_keep_a_sparse_disk_exact() {
+        let d = MemDisk::new(6);
+        d.write_block(1, &vec![0x11u8; BLOCK_SIZE]).unwrap();
+        let mut b = vec![0u8; BLOCK_SIZE];
+        b[BLOCK_SIZE - 1] = 0x44;
+        d.write_block(4, &b).unwrap();
+        let image = d.snapshot();
+
+        let via_clone = MemDisk::clone_of(&d).unwrap();
+        let via_image = MemDisk::from_image(&image);
+        for copy in [&via_clone, &via_image] {
+            assert_eq!(copy.snapshot(), image);
+            assert_eq!(
+                stored_blocks(copy),
+                [false, true, false, false, true, false],
+                "zero blocks stay unstored"
+            );
+        }
     }
 
     #[test]

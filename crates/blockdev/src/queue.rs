@@ -54,6 +54,9 @@ pub struct WritebackQueue {
     errors: Vec<Arc<Mutex<Option<FsError>>>>,
     submitted: AtomicU64,
     completed: Arc<AtomicU64>,
+    /// `completed` as read after the acks of the last barrier whose
+    /// device flush succeeded: every write counted in it is durable.
+    flushed: AtomicU64,
     device: Arc<dyn BlockDevice>,
 }
 
@@ -116,6 +119,7 @@ impl WritebackQueue {
             errors,
             submitted: AtomicU64::new(0),
             completed,
+            flushed: AtomicU64::new(0),
             device,
         }
     }
@@ -146,10 +150,21 @@ impl WritebackQueue {
     /// queue, flushes the device, and reports any asynchronous write
     /// error that occurred since the last barrier.
     ///
+    /// When every write ever submitted had completed before the last
+    /// barrier that flushed successfully, there is nothing to wait for,
+    /// report or flush, and the barrier returns at once. Writes that
+    /// bypass the queue are not covered: their callers flush the device
+    /// themselves.
+    ///
     /// # Errors
     ///
     /// The first queued asynchronous write error, or the flush error.
     pub fn barrier(&self) -> FsResult<()> {
+        // Acquire pairs with the Release that stores `flushed`: a barrier
+        // that returns here happens after the flush covering every write
+        if self.submitted.load(Ordering::Relaxed) == self.flushed.load(Ordering::Acquire) {
+            return Ok(());
+        }
         let (ack_tx, ack_rx) = bounded(self.senders.len());
         let mut expected = 0;
         for s in &self.senders {
@@ -161,12 +176,17 @@ impl WritebackQueue {
         for _ in 0..expected {
             let _ = ack_rx.recv();
         }
+        // read before the error slots: a write counted here recorded its
+        // error before its completion, so the check below sees it
+        let completed = self.completed();
         for slot in &self.errors {
             if let Some(e) = slot.lock().take() {
                 return Err(e);
             }
         }
-        self.device.flush()
+        self.device.flush()?;
+        self.flushed.fetch_max(completed, Ordering::Release);
+        Ok(())
     }
 
     /// Writes submitted since construction.
@@ -252,6 +272,73 @@ mod tests {
         let q = WritebackQueue::new(disk, QueueConfig::default());
         q.barrier().unwrap();
         q.barrier().unwrap();
+    }
+
+    /// Counts device flushes; everything else passes through.
+    struct FlushCounter<D> {
+        inner: D,
+        flushes: AtomicU64,
+    }
+
+    impl<D: BlockDevice> FlushCounter<D> {
+        fn new(inner: D) -> Arc<FlushCounter<D>> {
+            Arc::new(FlushCounter {
+                inner,
+                flushes: AtomicU64::new(0),
+            })
+        }
+
+        fn flushes(&self) -> u64 {
+            self.flushes.load(Ordering::Relaxed)
+        }
+    }
+
+    impl<D: BlockDevice> BlockDevice for FlushCounter<D> {
+        fn block_count(&self) -> u64 {
+            self.inner.block_count()
+        }
+        fn read_block(&self, bno: u64, buf: &mut [u8]) -> FsResult<()> {
+            self.inner.read_block(bno, buf)
+        }
+        fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
+            self.inner.write_block(bno, buf)
+        }
+        fn flush(&self) -> FsResult<()> {
+            self.flushes.fetch_add(1, Ordering::Relaxed);
+            self.inner.flush()
+        }
+    }
+
+    #[test]
+    fn barrier_without_new_submissions_issues_no_flush() {
+        let disk = FlushCounter::new(MemDisk::new(4));
+        let q = WritebackQueue::new(disk.clone(), QueueConfig::default());
+        q.barrier().unwrap();
+        q.barrier().unwrap();
+        assert_eq!(disk.flushes(), 0, "nothing was ever submitted");
+        q.submit(1, vec![3; BLOCK_SIZE]).unwrap();
+        q.barrier().unwrap();
+        assert_eq!(disk.flushes(), 1, "a barrier after a submit flushes");
+        q.barrier().unwrap();
+        assert_eq!(disk.flushes(), 1, "nothing submitted since the last flush");
+        q.submit(2, vec![4; BLOCK_SIZE]).unwrap();
+        q.barrier().unwrap();
+        assert_eq!(disk.flushes(), 2);
+    }
+
+    #[test]
+    fn async_error_barrier_does_not_count_as_flushed() {
+        let plan = DiskFaultPlan::new().fail_writes(FaultTarget::Block(3), TriggerMode::Always);
+        let disk = FlushCounter::new(FaultyDisk::with_plan(MemDisk::new(8), plan));
+        let q = WritebackQueue::new(disk.clone(), QueueConfig::default());
+        q.submit(3, vec![1; BLOCK_SIZE]).unwrap();
+        assert!(matches!(q.barrier(), Err(FsError::IoFailed { .. })));
+        assert_eq!(disk.flushes(), 0, "the failed barrier never flushed");
+        // the write is complete, but no flush has covered it yet
+        q.barrier().unwrap();
+        assert_eq!(disk.flushes(), 1, "the barrier after the error flushes");
+        q.barrier().unwrap();
+        assert_eq!(disk.flushes(), 1);
     }
 
     #[test]

@@ -458,6 +458,13 @@ impl RaeFs {
         self.reports.lock().clone()
     }
 
+    /// The retained operations a recovery would replay now.
+    #[cfg(test)]
+    pub(crate) fn retained_ops(&self) -> Vec<rae_vfs::FsOp> {
+        let (completed, _) = self.shared.log.lock().for_recovery();
+        completed.into_iter().map(|r| r.op).collect()
+    }
+
     /// Online audit (§4.3's testing phase as a runtime API): quiesce,
     /// run the shadow over the current on-disk state and the retained
     /// operation log in constrained mode, and report every discrepancy
@@ -1635,12 +1642,13 @@ impl RaeFs {
     /// *through the shadow* in autonomous mode, exactly like a pending
     /// mutation would (§3.2). Retrying on the base instead would loop
     /// forever on a deterministic read-path bug.
-    /// Reads keep the 1-in-8 sampled clock — a sub-microsecond
-    /// cache-hit read cannot afford two clock reads each — but still
-    /// open an attribution span: when an *unsampled* read turns slow,
-    /// its deep-layer time (cache fill, device) crosses the slow-op
-    /// threshold inside [`rae_telemetry::Telemetry::op_finish`] and the
-    /// op is captured anyway as a lower bound.
+    /// Reads keep the 1-in-16 ([`rae_telemetry::OP_SAMPLE`]) sampled
+    /// clock — a sub-microsecond cache-hit read cannot afford two clock
+    /// reads each — but still open an attribution span: when an
+    /// *unsampled* read turns slow, its deep-layer time (cache fill,
+    /// device) crosses the slow-op threshold inside
+    /// [`rae_telemetry::Telemetry::op_finish`] and the op is captured
+    /// anyway as a lower bound.
     fn exec_read(&self, op: &ReadRequest) -> FsResult<ReadReply> {
         let class = Self::class_of_read(op);
         let t0 = self.telemetry.op_clock();

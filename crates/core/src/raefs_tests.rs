@@ -466,6 +466,77 @@ fn log_cap_forces_barrier() {
     assert!(fs.stats().log_trimmed >= 39);
 }
 
+/// Read-only opens and closes dirty nothing, so only an empty commit
+/// can make their records durable. Churning them past a small log cap
+/// must keep the log bounded, and a descriptor still open must come
+/// back after a fault through the `RestoreFd` record its open became.
+#[test]
+fn read_only_churn_trims_and_keeps_open_fds_recoverable() {
+    const CAP: usize = 16;
+    let faults = FaultRegistry::new();
+    let dev = Arc::new(MemDisk::new(4096));
+    mkfs(dev.as_ref(), MkfsParams::default()).unwrap();
+    let config = RaeConfig {
+        base: BaseFsConfig {
+            faults: faults.clone(),
+            ..BaseFsConfig::default()
+        },
+        max_log_records: CAP,
+        ..RaeConfig::default()
+    };
+    let fs = RaeFs::mount(dev.clone() as Arc<dyn BlockDevice>, config).unwrap();
+    let model = rae_fsmodel::ModelFs::new();
+    for m in [&fs as &dyn FileSystem, &model] {
+        m.mkdir("/d").unwrap();
+        let fd = m.open("/d/f", rw_create()).unwrap();
+        m.write(fd, 0, b"read-mostly").unwrap();
+        m.close(fd).unwrap();
+    }
+    fs.sync().unwrap();
+
+    let kept = fs.open("/d/f", OpenFlags::RDONLY).unwrap();
+    let trimmed_before = fs.stats().log_trimmed;
+    for _ in 0..20 * CAP {
+        let fd = fs.open("/d/f", OpenFlags::RDONLY).unwrap();
+        assert_eq!(fs.read(fd, 0, 4).unwrap(), b"read");
+        fs.close(fd).unwrap();
+        let len = fs.stats().log_len;
+        assert!(len <= CAP + 1, "log grew to {len} past cap + live fds");
+    }
+    assert!(
+        fs.stats().log_trimmed > trimmed_before + 20 * CAP as u64,
+        "read-only records were never trimmed"
+    );
+    let restore_fds = fs
+        .retained_ops()
+        .into_iter()
+        .filter(|op| matches!(op, rae_vfs::FsOp::RestoreFd { .. }))
+        .count();
+    assert_eq!(restore_fds, 1, "the kept open survives only as RestoreFd");
+
+    faults.arm(BugSpec::new(
+        910,
+        "after-churn",
+        Site::Alloc,
+        Trigger::NthMatch(1),
+        Effect::DetectedError,
+    ));
+    fs.mkdir("/after").unwrap(); // masked
+    model.mkdir("/after").unwrap();
+    let reports = fs.recovery_reports();
+    assert_eq!(reports.len(), 1, "the fault fired once and was masked");
+    assert_eq!(reports[0].fds_restored, 1);
+    assert_eq!(fs.read(kept, 0, 11).unwrap(), b"read-mostly");
+    fs.close(kept).unwrap();
+
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    tree_of(&fs, "/", &mut got);
+    tree_of(&model, "/", &mut want);
+    assert_eq!(got, want, "recovered tree diverges from the model");
+    fs.unmount().unwrap();
+    assert!(fsck(dev.as_ref()).unwrap().is_clean());
+}
+
 #[test]
 fn recovery_after_sync_replays_only_the_suffix() {
     let faults = FaultRegistry::new();
