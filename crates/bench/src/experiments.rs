@@ -20,6 +20,7 @@ use rae_workloads::{
     run_script, run_writer_mix, Profile, ReadMix, ReadMixConfig, WriteMix, WriteMixConfig,
 };
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -598,6 +599,41 @@ fn e4c_measure(mix: ReadMix, serial: bool, scale: Scale) -> Vec<(usize, f64)> {
         .collect()
 }
 
+/// Where an experiment's JSON artifact lands: the repository root for
+/// a full run (the committed artifact), `target/bench/` for a
+/// `--smoke` run, so that a CI-sized run never overwrites a committed
+/// result. Both are fixed at build time; the working directory plays
+/// no part.
+#[must_use]
+pub fn artifact_path(name: &str, smoke: bool) -> PathBuf {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the repository root");
+    if smoke {
+        root.join("target/bench").join(name)
+    } else {
+        root.join(name)
+    }
+}
+
+/// Write `json` to [`artifact_path`] and report the outcome in `out`.
+fn write_artifact(out: &mut String, name: &str, json: &str, smoke: bool) {
+    let path = artifact_path(name, smoke);
+    let written = path
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(&path, json));
+    match written {
+        Ok(()) => {
+            let _ = writeln!(out, "wrote {}", path.display());
+        }
+        Err(e) => {
+            let _ = writeln!(out, "(could not write {}: {e})", path.display());
+        }
+    }
+}
+
 fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
@@ -632,8 +668,7 @@ fn e4c_render_json(rows: &[E4cRow]) -> String {
 /// single page-cache shard) runs as the in-tree baseline, so the
 /// before/after comparison is measured live rather than quoted.
 ///
-/// Side effect: writes `BENCH_concurrency.json` into the working
-/// directory (the committed artifact at the repo root).
+/// Side effect: writes `BENCH_concurrency.json` (see [`artifact_path`]).
 #[must_use]
 pub fn e4c_read_scaling(scale: Scale) -> String {
     let mut out = String::new();
@@ -682,14 +717,7 @@ pub fn e4c_read_scaling(scale: Scale) -> String {
         }
     }
     let json = e4c_render_json(&rows);
-    match std::fs::write("BENCH_concurrency.json", &json) {
-        Ok(()) => {
-            let _ = writeln!(out, "wrote BENCH_concurrency.json");
-        }
-        Err(e) => {
-            let _ = writeln!(out, "(could not write BENCH_concurrency.json: {e})");
-        }
-    }
+    write_artifact(&mut out, "BENCH_concurrency.json", &json, false);
     out
 }
 
@@ -810,8 +838,7 @@ fn e11_render_json(rows: &[E11Row]) -> String {
 /// commit batch per rung (from the telemetry histogram) shows group
 /// commit engaging as contention rises.
 ///
-/// Side effect: writes `BENCH_write_scaling.json` into the working
-/// directory (the committed artifact at the repo root).
+/// Side effect: writes `BENCH_write_scaling.json` (see [`artifact_path`]).
 #[must_use]
 pub fn e11_write_scaling(scale: Scale, smoke: bool) -> String {
     let mut out = String::new();
@@ -859,14 +886,7 @@ pub fn e11_write_scaling(scale: Scale, smoke: bool) -> String {
         }
     }
     let json = e11_render_json(&rows);
-    match std::fs::write("BENCH_write_scaling.json", &json) {
-        Ok(()) => {
-            let _ = writeln!(out, "wrote BENCH_write_scaling.json");
-        }
-        Err(e) => {
-            let _ = writeln!(out, "(could not write BENCH_write_scaling.json: {e})");
-        }
-    }
+    write_artifact(&mut out, "BENCH_write_scaling.json", &json, smoke);
     out
 }
 
@@ -1478,8 +1498,7 @@ fn e8_render_json(rows: &[E8Row], smoke: bool) -> String {
 /// degraded, or offline — with the rungs tried strictly in order,
 /// no panic crossing the API, and no silently-wrong tree.
 ///
-/// Side effect: writes `BENCH_recovery_resilience.json` into the
-/// working directory (the committed artifact at the repo root).
+/// Side effect: writes `BENCH_recovery_resilience.json` (see [`artifact_path`]).
 #[must_use]
 pub fn e8_recovery_resilience(smoke: bool) -> String {
     let scenarios = e8_scenarios(smoke);
@@ -1521,14 +1540,7 @@ pub fn e8_recovery_resilience(smoke: bool) -> String {
         count("unexpected"),
     );
     let json = e8_render_json(&rows, smoke);
-    match std::fs::write("BENCH_recovery_resilience.json", &json) {
-        Ok(()) => {
-            let _ = writeln!(out, "wrote BENCH_recovery_resilience.json");
-        }
-        Err(e) => {
-            let _ = writeln!(out, "(could not write BENCH_recovery_resilience.json: {e})");
-        }
-    }
+    write_artifact(&mut out, "BENCH_recovery_resilience.json", &json, smoke);
     out
 }
 
@@ -1606,8 +1618,7 @@ fn e9_cache_hit_ns_per_op(reads: usize, rounds: usize) -> (f64, f64) {
 /// recovery shows up as response-time tail. A second probe gates the
 /// telemetry off to price the instrumentation itself.
 ///
-/// Side effect: writes `BENCH_tail_latency.json` into the working
-/// directory (the committed artifact at the repo root).
+/// Side effect: writes `BENCH_tail_latency.json` (see [`artifact_path`]).
 #[must_use]
 pub fn e9_tail_latency(scale: Scale, smoke: bool) -> String {
     use std::time::Instant;
@@ -1753,14 +1764,7 @@ pub fn e9_tail_latency(scale: Scale, smoke: bool) -> String {
         "  \"overhead\": {{\"telemetry_on_ns_per_op\": {on_ns:.0}, \"telemetry_off_ns_per_op\": {off_ns:.0}, \"overhead_pct\": {overhead_pct:.2}, \"budget_pct\": {OVERHEAD_BUDGET_PCT:.1}, \"within_budget\": {within_budget}}}"
     );
     json.push_str("}\n");
-    match std::fs::write("BENCH_tail_latency.json", &json) {
-        Ok(()) => {
-            let _ = writeln!(out, "wrote BENCH_tail_latency.json");
-        }
-        Err(e) => {
-            let _ = writeln!(out, "(could not write BENCH_tail_latency.json: {e})");
-        }
-    }
+    write_artifact(&mut out, "BENCH_tail_latency.json", &json, smoke);
     out
 }
 
@@ -1782,8 +1786,7 @@ pub fn e9_tail_latency(scale: Scale, smoke: bool) -> String {
 /// success before and the first success after, as seen from the
 /// socket side).
 ///
-/// Side effect: writes `BENCH_server_traffic.json` into the working
-/// directory (the committed artifact at the repo root).
+/// Side effect: writes `BENCH_server_traffic.json` (see [`artifact_path`]).
 ///
 /// # Panics
 ///
@@ -2024,14 +2027,7 @@ pub fn e10_server_traffic(smoke: bool) -> String {
         shutdown.requests, shutdown.connections, shutdown.volumes_unmounted, shutdown.all_clean
     );
     json.push_str("}\n");
-    match std::fs::write("BENCH_server_traffic.json", &json) {
-        Ok(()) => {
-            let _ = writeln!(out, "wrote BENCH_server_traffic.json");
-        }
-        Err(e) => {
-            let _ = writeln!(out, "(could not write BENCH_server_traffic.json: {e})");
-        }
-    }
+    write_artifact(&mut out, "BENCH_server_traffic.json", &json, smoke);
     out
 }
 
@@ -2127,8 +2123,7 @@ fn e12_window(name: &'static str, later: &E12Snap, earlier: &E12Snap) -> E12Wind
 /// `other`). A final probe prices the whole tracing plane on
 /// cache-hit reads against a 5% budget.
 ///
-/// Side effect: writes `BENCH_tail_attribution.json` into the working
-/// directory (the committed artifact at the repo root).
+/// Side effect: writes `BENCH_tail_attribution.json` (see [`artifact_path`]).
 ///
 /// # Panics
 ///
@@ -2337,14 +2332,7 @@ pub fn e12_tail_attribution(smoke: bool) -> String {
          \"within_budget\": {within_budget}}}"
     );
     json.push_str("}\n");
-    match std::fs::write("BENCH_tail_attribution.json", &json) {
-        Ok(()) => {
-            let _ = writeln!(out, "wrote BENCH_tail_attribution.json");
-        }
-        Err(e) => {
-            let _ = writeln!(out, "(could not write BENCH_tail_attribution.json: {e})");
-        }
-    }
+    write_artifact(&mut out, "BENCH_tail_attribution.json", &json, smoke);
     out
 }
 

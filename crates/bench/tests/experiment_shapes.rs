@@ -196,8 +196,9 @@ fn e9_windows_split_around_the_recovery() {
         field("before", 1) > 100.0 && field("after", 1) > 100.0,
         "{out}"
     );
-    assert!(out.contains("wrote BENCH_tail_latency.json"), "{out}");
-    let json = std::fs::read_to_string("BENCH_tail_latency.json").unwrap();
+    let path = experiments::artifact_path("BENCH_tail_latency.json", true);
+    assert!(out.contains(&format!("wrote {}", path.display())), "{out}");
+    let json = std::fs::read_to_string(path).unwrap();
     for key in [
         "\"experiment\": \"e9_tail_latency\"",
         "\"windows\"",

@@ -11,6 +11,7 @@ use crate::wire::{
 };
 use rae_telemetry::TraceCtx;
 use rae_vfs::{DirEntry, Fd, FileStat, FsError, FsGeometryInfo, OpenFlags, SetAttr};
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Client-side failures.
@@ -71,7 +72,10 @@ pub type ClientResult<T> = Result<T, ClientError>;
 
 /// One connection to the storage server.
 pub struct Client {
-    stream: TcpStream,
+    /// The connection. Responses are read through the buffer, so one
+    /// `read` usually yields a whole frame; requests are written
+    /// straight to the socket through `get_mut()`.
+    stream: BufReader<TcpStream>,
     /// Trace context stamped on every subsequent request frame (v2
     /// extension). `None` — the default — emits plain v1 frames.
     trace: Option<TraceCtx>,
@@ -91,7 +95,7 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
         Ok(Client {
-            stream,
+            stream: BufReader::new(stream),
             trace: None,
             peer_version: None,
         })
@@ -153,7 +157,7 @@ impl Client {
             Some(_) => None,
             None => self.trace,
         };
-        write_frame(&mut self.stream, &request.encode_traced(ctx))?;
+        write_frame(self.stream.get_mut(), &request.encode_traced(ctx))?;
         let Some(body) = read_frame(&mut self.stream)? else {
             return Err(ClientError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,

@@ -19,13 +19,13 @@
 
 use crate::volume::{Volume, VolumeManager, VolumeSpec};
 use crate::wire::{
-    self, effect_from_code, site_from_code, status_code, write_frame, AdminOp, FsOp, Reply,
-    Request, Response, ServerError,
+    self, effect_from_code, site_from_code, status_code, write_frame, AdminOp, Reply, Request,
+    Response, ServerError,
 };
 use rae_faults::{BugSpec, Trigger};
 use rae_telemetry::EventKind;
 use rae_vfs::FsError;
-use std::io::Read;
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -284,8 +284,10 @@ enum ReadOutcome {
 
 /// Read one frame, polling the shutdown flag while the connection is
 /// idle (the socket carries a short read timeout so an idle worker
-/// notices shutdown within ~50 ms).
-fn read_frame_interruptible(stream: &mut TcpStream, shared: &Shared) -> ReadOutcome {
+/// notices shutdown within ~50 ms). `stream` is the connection's
+/// buffered reader: a frame usually arrives in one `read`, and bytes
+/// of the next frame stay buffered for the next call.
+fn read_frame_interruptible(stream: &mut impl Read, shared: &Shared) -> ReadOutcome {
     let mut hdr = [0u8; 4];
     let mut got = 0usize;
     while got < 4 {
@@ -326,14 +328,16 @@ fn read_frame_interruptible(stream: &mut TcpStream, shared: &Shared) -> ReadOutc
     ReadOutcome::Frame(body)
 }
 
-fn serve_connection(mut stream: TcpStream, shared: &Shared) {
+fn serve_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+    let mut reader = BufReader::new(&stream);
+    let mut writer = &stream;
     let mut served = 0u64;
     // ConnClosed reason codes: 0 eof, 1 transport error, 2 shutdown,
     // 3 bad frame (see the EventKind schema table)
     let mut close_reason = 0u64;
     loop {
-        let body = match read_frame_interruptible(&mut stream, shared) {
+        let body = match read_frame_interruptible(&mut reader, shared) {
             ReadOutcome::Frame(body) => body,
             ReadOutcome::Eof => break,
             ReadOutcome::Error => {
@@ -343,7 +347,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
             ReadOutcome::Shutdown => {
                 close_reason = 2;
                 let _ = write_frame(
-                    &mut stream,
+                    &mut writer,
                     &Response::ServerErr(ServerError::ShuttingDown).encode(),
                 );
                 break;
@@ -368,7 +372,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                 // once, then close the connection
                 close_reason = 3;
                 let _ = write_frame(
-                    &mut stream,
+                    &mut writer,
                     &Response::ServerErr(ServerError::BadFrame {
                         reason: e.0.to_string(),
                     })
@@ -377,7 +381,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                 break;
             }
         };
-        if write_frame(&mut stream, &response.encode()).is_err() {
+        if write_frame(&mut writer, &response.encode()).is_err() {
             break;
         }
     }
@@ -514,17 +518,6 @@ fn handle_admin(op: AdminOp, shared: &Shared) -> Response {
             manager.scrape_prometheus()
         })),
     }
-}
-
-/// Validate that an `FsOp` is reachable from the wire (used by the
-/// protocol fuzz tests; `Request::decode` already rejects the
-/// non-servable opcodes).
-#[must_use]
-pub fn is_servable(op: &FsOp) -> bool {
-    !matches!(
-        op.kind(),
-        rae_vfs::OpKind::Create | rae_vfs::OpKind::Mount | rae_vfs::OpKind::RestoreFd
-    )
 }
 
 // ---------------------------------------------------------------------

@@ -80,20 +80,26 @@ impl std::error::Error for DecodeError {}
 // ---------------------------------------------------------------------
 // frame I/O
 
-/// Write one frame (length prefix + body).
+/// Write one frame (length prefix + body) with a single `write_all`,
+/// so that a `TCP_NODELAY` socket sends it as one segment through one
+/// syscall rather than a 4-byte header segment and a body segment.
 ///
 /// # Errors
 ///
 /// I/O errors from the writer.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
     debug_assert!(body.len() <= MAX_FRAME_LEN);
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     w.flush()
 }
 
 /// Read one frame body. Returns `Ok(None)` on clean EOF (the peer
-/// closed between frames).
+/// closed between frames). Pass a buffered reader: the header and
+/// body then come out of one `read`, and bytes of a following frame
+/// stay in the buffer for the next call.
 ///
 /// # Errors
 ///
@@ -1552,6 +1558,51 @@ mod tests {
         let mut r: &[u8] = &buf;
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
+        assert_eq!(read_frame(&mut r).unwrap(), None);
+    }
+
+    /// Counts the `write` and `read` calls made on the transport.
+    #[derive(Default)]
+    struct CountingIo {
+        data: Vec<u8>,
+        pos: usize,
+        writes: usize,
+        reads: usize,
+    }
+
+    impl Write for CountingIo {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.data.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Read for CountingIo {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let n = buf.len().min(self.data.len() - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn one_write_per_frame_and_back_to_back_frames_share_a_buffered_read() {
+        let mut io = CountingIo::default();
+        write_frame(&mut io, b"first").unwrap();
+        assert_eq!(io.writes, 1, "the length prefix and body go out together");
+        write_frame(&mut io, &[7u8; 300]).unwrap();
+        assert_eq!(io.writes, 2);
+        let mut r = std::io::BufReader::new(io);
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"first");
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), vec![7u8; 300]);
+        assert_eq!(r.get_ref().reads, 1, "both frames came from one read");
         assert_eq!(read_frame(&mut r).unwrap(), None);
     }
 

@@ -1,13 +1,14 @@
 //! End-to-end tests against a live server on a loopback socket: the
 //! full VFS op set over the wire, admin ops, fault masking under
-//! traffic, malformed-frame handling, and graceful shutdown.
+//! traffic, malformed-frame handling, frame boundaries that do not
+//! match the socket's reads, and graceful shutdown.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use rae_server::wire::{Request, Response, ServerError};
+use rae_server::wire::{read_frame, Reply, Request, Response, ServerError};
 use rae_server::{Client, ClientError, Server, ServerConfig, VolumeManager};
 use rae_vfs::{FsError, OpenFlags, SetAttr};
 
@@ -305,6 +306,46 @@ fn malformed_frames_error_cleanly_without_wedging_the_pool() {
     drop(c);
     let report = server.shutdown().unwrap();
     assert!(report.all_clean);
+}
+
+/// Read one response frame from a raw connection and decode it.
+fn read_response(r: &mut impl Read) -> Response {
+    let body = read_frame(r)
+        .unwrap()
+        .expect("server closed the connection");
+    Response::decode(&body).unwrap()
+}
+
+#[test]
+fn frame_split_across_writes_past_the_read_timeout_is_answered() {
+    let server = start_server(&ServerConfig::default());
+    let mut s = TcpStream::connect(server.local_addr()).unwrap();
+    s.set_nodelay(true).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let f = frame(&Request::Negotiate { version: 2 }.encode());
+    s.write_all(&f[..4]).unwrap();
+    // longer than the server's 50 ms read timeout
+    std::thread::sleep(Duration::from_millis(120));
+    s.write_all(&f[4..]).unwrap();
+    let mut r = BufReader::new(s);
+    assert_eq!(read_response(&mut r), Response::Ok(Reply::Version(2)));
+    drop(r);
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn pipelined_requests_in_one_write_are_answered_in_order() {
+    let server = start_server(&ServerConfig::default());
+    let mut s = TcpStream::connect(server.local_addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut both = frame(&Request::Ping.encode());
+    both.extend_from_slice(&frame(&Request::Negotiate { version: 1 }.encode()));
+    s.write_all(&both).unwrap();
+    let mut r = BufReader::new(s);
+    assert_eq!(read_response(&mut r), Response::Ok(Reply::Pong));
+    assert_eq!(read_response(&mut r), Response::Ok(Reply::Version(1)));
+    drop(r);
+    server.shutdown().unwrap();
 }
 
 #[test]
