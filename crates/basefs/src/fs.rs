@@ -355,7 +355,7 @@ impl BaseFs {
     pub fn unmount(self) -> FsResult<()> {
         let _txn = self.txn.write();
         self.commit_with_txn_held()?;
-        self.jmgr.lock().checkpoint(self.dev.as_ref())?;
+        self.jmgr.lock().checkpoint(&self.pages)?;
         self.pages.checkpoint_done();
         let (free_inodes, free_blocks) = {
             let alloc = self.alloc.lock();
@@ -384,7 +384,7 @@ impl BaseFs {
     pub fn checkpoint(&self) -> FsResult<()> {
         let _txn = self.txn.write();
         self.commit_with_txn_held()?;
-        self.jmgr.lock().checkpoint(self.dev.as_ref())?;
+        self.jmgr.lock().checkpoint(&self.pages)?;
         self.pages.checkpoint_done();
         Ok(())
     }
@@ -542,6 +542,20 @@ impl BaseFs {
             open_fds: self.fds.lock().len(),
             resident_pages: self.pages.resident(),
         }
+    }
+
+    /// The device block backing file-block `idx` of the file at `path`
+    /// (0 = hole).
+    #[cfg(test)]
+    pub(crate) fn file_block(&self, path: &str, idx: u64) -> FsResult<u64> {
+        let ino = self.resolve_quiet(&split_path(path)?)?;
+        self.get_file_block(&self.load_inode(ino)?, idx)
+    }
+
+    /// Whether block `bno` has a page in the cache.
+    #[cfg(test)]
+    pub(crate) fn is_cached(&self, bno: u64) -> bool {
+        self.pages.resident_contains(bno)
     }
 
     /// Number of lock stripes in the page cache (1 in the serial
@@ -954,10 +968,11 @@ impl BaseFs {
     /// reallocated immediately — possibly as a data block, which
     /// bypasses the journal in ordered mode — and a stale pending
     /// image would overwrite the new contents at the next checkpoint),
-    /// then discard the freed blocks' cached metadata pages (a
-    /// still-dirty page would be re-journaled by the *next* commit,
-    /// recreating the same hazard), then return everything to the
-    /// allocator.
+    /// then forget the freed blocks' cached pages of either class (a
+    /// still-dirty meta page would be re-journaled by the *next*
+    /// commit, recreating the same hazard; a dirty data page is dead
+    /// and would be written back for nothing), then return everything
+    /// to the allocator.
     fn apply_frees(&self, frees: &Frees) -> FsResult<()> {
         if frees.is_empty() {
             return Ok(());
@@ -969,7 +984,7 @@ impl BaseFs {
             }
         }
         for &b in &frees.blocks {
-            self.pages.discard_meta(b);
+            self.pages.forget(b);
         }
         let mut alloc = self.alloc.lock();
         for &b in &frees.blocks {
@@ -1456,15 +1471,18 @@ impl BaseFs {
     /// included: with the data flushed and nothing dirty, every earlier
     /// metadata change already sits in a flushed journal transaction,
     /// so the cut at `cur_seq` is durable without writing anything.
+    ///
+    /// Ordered mode: the dirty file data goes in the same write-back
+    /// batch as the transaction's records, so it is durable before the
+    /// commit block that makes the metadata referencing it valid.
     fn commit_with_txn_held(&self) -> FsResult<()> {
         let ctx = OpContext::new(OpKind::Sync, Site::JournalCommit);
         let _ = self.hook(&ctx)?;
 
-        // ordered mode: file data reaches the disk before the metadata
-        // that references it
-        self.pages.flush_data()?;
         let images = self.pages.take_dirty_meta();
-        if !images.is_empty() {
+        if images.is_empty() {
+            self.pages.flush_data(Vec::new())?;
+        } else {
             self.journal_meta(images)?;
         }
         self.persisted_seq
@@ -1473,7 +1491,7 @@ impl BaseFs {
     }
 
     /// Journal the dirty metadata images plus a fresh superblock as one
-    /// transaction.
+    /// transaction, flushing the dirty file data with its records.
     fn journal_meta(&self, mut images: Vec<(u64, Vec<u8>)>) -> FsResult<()> {
         let (free_inodes, free_blocks) = {
             let alloc = self.alloc.lock();
@@ -1490,7 +1508,7 @@ impl BaseFs {
         if self.validate_on_commit {
             self.validate_commit_images(&images)?;
         }
-        self.jmgr.lock().commit(self.dev.as_ref(), images)
+        self.jmgr.lock().commit(&self.pages, images)
     }
 
     /// Commit if the running transaction has grown past the bound.

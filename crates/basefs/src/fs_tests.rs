@@ -1,10 +1,11 @@
 //! Unit and conformance tests for [`BaseFs`].
 
 use crate::fs::{BaseFs, BaseFsConfig};
-use rae_blockdev::{BlockDevice, MemDisk, BLOCK_SIZE};
+use parking_lot::Mutex;
+use rae_blockdev::{BlockDevice, DiskFaultPlan, FaultyDisk, MemDisk, BLOCK_SIZE};
 use rae_faults::{BugSpec, Effect, FaultRegistry, Site, Trigger};
-use rae_fsformat::{fsck, mkfs, MkfsParams};
-use rae_vfs::{Fd, FileSystem, FileType, FsError, OpenFlags, SetAttr, FIRST_FD};
+use rae_fsformat::{fsck, journal, mkfs, Geometry, MkfsParams};
+use rae_vfs::{Fd, FileSystem, FileType, FsError, FsResult, OpenFlags, SetAttr, FIRST_FD};
 use std::sync::Arc;
 
 fn fresh() -> (Arc<MemDisk>, BaseFs) {
@@ -731,4 +732,226 @@ fn validate_on_commit_can_be_disabled() {
         !report.is_clean(),
         "corruption reached the platter undetected"
     );
+}
+
+/// A device request as the device saw it, in arrival order.
+#[derive(Debug)]
+enum Io {
+    WriteStart(u64, Vec<u8>),
+    WriteEnd(u64),
+    Flush,
+}
+
+/// Records every write's start and completion and every flush, over a
+/// device whose writes take `latency_ns`, so that writes issued
+/// concurrently overlap.
+struct IoProbe {
+    inner: FaultyDisk<MemDisk>,
+    log: Mutex<Vec<Io>>,
+}
+
+impl IoProbe {
+    fn take(&self) -> Vec<Io> {
+        std::mem::take(&mut *self.log.lock())
+    }
+}
+
+impl BlockDevice for IoProbe {
+    fn block_count(&self) -> u64 {
+        self.inner.block_count()
+    }
+    fn read_block(&self, bno: u64, buf: &mut [u8]) -> FsResult<()> {
+        self.inner.read_block(bno, buf)
+    }
+    fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
+        self.log.lock().push(Io::WriteStart(bno, buf.to_vec()));
+        let r = self.inner.write_block(bno, buf);
+        self.log.lock().push(Io::WriteEnd(bno));
+        r
+    }
+    fn flush(&self) -> FsResult<()> {
+        self.log.lock().push(Io::Flush);
+        self.inner.flush()
+    }
+}
+
+/// A fresh filesystem over an [`IoProbe`] with an empty log.
+fn probed(latency_ns: u64) -> (Arc<IoProbe>, Geometry, BaseFs) {
+    let mem = MemDisk::new(4096);
+    let geo = mkfs(&mem, MkfsParams::default()).unwrap();
+    let plan = DiskFaultPlan::new().write_latency_ns(latency_ns);
+    let dev = Arc::new(IoProbe {
+        inner: FaultyDisk::with_plan(mem, plan),
+        log: Mutex::new(Vec::new()),
+    });
+    let fs = BaseFs::mount(dev.clone() as Arc<dyn BlockDevice>, BaseFsConfig::default()).unwrap();
+    let _ = dev.take();
+    (dev, geo, fs)
+}
+
+fn max_in_flight(log: &[Io]) -> usize {
+    let (mut now, mut max) = (0usize, 0usize);
+    for io in log {
+        match io {
+            Io::WriteStart(..) => {
+                now += 1;
+                max = max.max(now);
+            }
+            Io::WriteEnd(_) => now -= 1,
+            Io::Flush => {}
+        }
+    }
+    max
+}
+
+#[test]
+fn commit_overlaps_its_writes_and_flushes_twice() {
+    let (dev, _geo, fs) = probed(2_000_000);
+    let fd = fs.open("/mail", rw_create()).unwrap();
+    fs.write(fd, 0, &vec![0x5A; BLOCK_SIZE]).unwrap();
+    let _ = dev.take();
+    // one data page and several metadata images
+    fs.fsync(fd).unwrap();
+    let log = dev.take();
+    let flushes = log.iter().filter(|io| matches!(io, Io::Flush)).count();
+    assert_eq!(
+        flushes, 2,
+        "the data-and-record batch, then the commit block"
+    );
+    assert!(
+        max_in_flight(&log) >= 2,
+        "the batch's writes overlap across the queues: {log:?}"
+    );
+    fs.close(fd).unwrap();
+}
+
+/// Index of the last flush before `at`, if any.
+fn flush_before(log: &[Io], at: usize) -> Option<usize> {
+    log[..at].iter().rposition(|io| matches!(io, Io::Flush))
+}
+
+/// Index of the completion of the write started at `start`.
+fn end_of(log: &[Io], start: usize) -> usize {
+    let Io::WriteStart(bno, _) = &log[start] else {
+        panic!("{start} is not a write start");
+    };
+    start
+        + log[start..]
+            .iter()
+            .position(|io| matches!(io, Io::WriteEnd(b) if b == bno))
+            .expect("every write completes")
+}
+
+#[test]
+fn commit_blocks_and_journal_resets_wait_for_a_flush_of_what_they_cover() {
+    let (dev, geo, fs) = probed(200_000);
+    let journal = geo.journal_start..geo.journal_start + geo.journal_blocks;
+    // one file per fsync, each with a recognisable data block; enough
+    // transactions to fill the journal and force a checkpoint
+    let mut data_ends: Vec<usize> = Vec::new();
+    let mut log: Vec<Io> = Vec::new();
+    let mut commits = 0;
+    for k in 0..48u8 {
+        let fill = 0x80 | k;
+        let fd = fs.open(&format!("/f{k}"), rw_create()).unwrap();
+        fs.write(fd, 0, &vec![fill; BLOCK_SIZE]).unwrap();
+        fs.fsync(fd).unwrap();
+        fs.close(fd).unwrap();
+        let from = log.len();
+        log.extend(dev.take());
+        let data = (from..log.len())
+            .find(|&i| matches!(&log[i], Io::WriteStart(_, d) if d.iter().all(|&b| b == fill)))
+            .expect("fsync writes the file's data");
+        data_ends.push(end_of(&log, data));
+        // this fsync's commit block: the ordered data and every record
+        // of its transaction completed before the flush preceding it
+        let mut found = false;
+        for i in from..log.len() {
+            let Io::WriteStart(bno, d) = &log[i] else {
+                continue;
+            };
+            let Ok(Some((seq, tags))) = journal::decode_descriptor(d) else {
+                continue;
+            };
+            assert!(journal.contains(bno));
+            let commit_bno = bno + 1 + tags.len() as u64;
+            let commit = (i..log.len())
+                .find(|&j| {
+                    matches!(&log[j], Io::WriteStart(b, d)
+                        if *b == commit_bno && journal::is_commit(d, seq))
+                })
+                .expect("a committed transaction has a commit block");
+            let flush = flush_before(&log, commit).expect("a flush precedes the commit block");
+            for j in from..commit {
+                if matches!(&log[j], Io::WriteStart(b, _) if (*bno..commit_bno).contains(b)) {
+                    assert!(
+                        end_of(&log, j) < flush,
+                        "record at {j} unflushed at {commit}"
+                    );
+                }
+            }
+            assert!(*data_ends.last().unwrap() < flush, "ordered data unflushed");
+            found = true;
+            commits += 1;
+        }
+        assert!(found, "fsync {k} committed");
+    }
+    fs.checkpoint().unwrap();
+    log.extend(dev.take());
+    assert!(commits >= 48);
+
+    // every journal reset: the checkpoint's home writes, issued since
+    // the last journal write, completed before the flush preceding the
+    // header rewrite
+    let mut resets = 0;
+    for h in 0..log.len() {
+        let Io::WriteStart(bno, d) = &log[h] else {
+            continue;
+        };
+        if *bno != geo.journal_start || journal::decode_header(d).is_err() {
+            continue;
+        }
+        let flush = flush_before(&log, h).expect("a flush precedes the reset");
+        let since = log[..h]
+            .iter()
+            .rposition(|io| matches!(io, Io::WriteStart(b, _) if journal.contains(b)))
+            .expect("commits came first");
+        let mut homes = Vec::new();
+        for j in since..h {
+            if let Io::WriteStart(b, _) = &log[j] {
+                assert!(end_of(&log, j) < flush, "home {b} unflushed at reset {h}");
+                homes.push(*b);
+            }
+        }
+        assert!(homes.contains(&0), "the superblock goes home: {homes:?}");
+        resets += 1;
+    }
+    assert!(
+        resets >= 2,
+        "a checkpoint on a full journal and an explicit one"
+    );
+}
+
+#[test]
+fn freed_dirty_data_is_forgotten_not_written() {
+    let (dev, _geo, fs) = probed(0);
+    let fd = fs.open("/dead", rw_create()).unwrap();
+    fs.write(fd, 0, &vec![0xDE; BLOCK_SIZE]).unwrap();
+    fs.close(fd).unwrap();
+    let bno = fs.file_block("/dead", 0).unwrap();
+    assert!(bno != 0 && fs.is_cached(bno));
+    fs.unlink("/dead").unwrap();
+    assert!(!fs.is_cached(bno), "the freed block's page is gone");
+    fs.sync().unwrap();
+    let written: Vec<u64> = dev
+        .take()
+        .into_iter()
+        .filter_map(|io| match io {
+            Io::WriteStart(b, _) => Some(b),
+            _ => None,
+        })
+        .collect();
+    assert!(!written.is_empty(), "the sync committed the unlink");
+    assert!(!written.contains(&bno), "no write reaches the freed block");
+    assert!(!fs.is_cached(bno));
 }

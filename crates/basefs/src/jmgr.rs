@@ -2,14 +2,20 @@
 //!
 //! Write-ahead rule: dirty metadata reaches the disk *only* as journal
 //! records; the home locations are rewritten at checkpoint time.
-//! Ordered mode: the caller flushes file data before calling
-//! [`JournalMgr::commit`], so committed metadata never references
-//! unwritten data.
+//!
+//! A commit writes each transaction's descriptor and images together
+//! with the dirty file data as one write-back batch
+//! ([`PageCache::flush_data`]): the writes overlap and land in any
+//! order, and one device flush makes them all durable. Only then is the
+//! commit block written and flushed. Replay checks every image's CRC
+//! and trusts a transaction only once its commit block is present, so
+//! the order inside the batch is free, and ordered mode holds:
+//! committed metadata never references unwritten data.
 //!
 //! The journal is append-only and resets at each checkpoint (see
 //! `rae_fsformat::journal` for the format rationale).
 
-use rae_blockdev::BlockDevice;
+use crate::pagecache::PageCache;
 use rae_fsformat::journal::{self, TxnTag, MAX_TXN_BLOCKS};
 use rae_fsformat::{crc::crc32c, Geometry};
 use rae_telemetry::{SpanLayer, Telemetry};
@@ -47,7 +53,8 @@ impl JournalMgr {
     }
 
     /// Attach a telemetry handle: commits record their wall-clock
-    /// duration (descriptor + data + both flush barriers).
+    /// duration (the data-and-record batch, the commit block and both
+    /// flushes).
     pub(crate) fn set_telemetry(&mut self, telemetry: Option<Arc<Telemetry>>) {
         self.telemetry = telemetry;
     }
@@ -72,37 +79,35 @@ impl JournalMgr {
         self.checkpoints
     }
 
-    /// Commit a set of metadata images. Ordered-mode contract: the
-    /// caller has already flushed file data. On return the images are
-    /// durable (recoverable by replay).
-    pub(crate) fn commit<D: BlockDevice + ?Sized>(
+    /// Commit a set of metadata images, together with the cache's dirty
+    /// file data. On return the images are durable (recoverable by
+    /// replay). On an error before a transaction's commit block, that
+    /// transaction leaves no trace here: the journal position, the
+    /// sequence, the commit count and the pending images are unchanged.
+    pub(crate) fn commit(
         &mut self,
-        dev: &D,
+        pages: &PageCache,
         images: Vec<(u64, Vec<u8>)>,
     ) -> FsResult<()> {
         if images.is_empty() {
             return Ok(());
         }
         let t0 = self.telemetry.as_ref().and_then(|t| t.layer_clock());
-        let result = self.commit_inner(dev, images);
+        let result = self.commit_inner(pages, images);
         if let Some(t) = self.telemetry.as_ref() {
             t.layer_observed(SpanLayer::JournalIo, t0);
         }
         result
     }
 
-    fn commit_inner<D: BlockDevice + ?Sized>(
-        &mut self,
-        dev: &D,
-        images: Vec<(u64, Vec<u8>)>,
-    ) -> FsResult<()> {
+    fn commit_inner(&mut self, pages: &PageCache, images: Vec<(u64, Vec<u8>)>) -> FsResult<()> {
         let chunk_size = self.max_chunk();
-        let mut idx = 0;
-        while idx < images.len() {
-            let chunk = &images[idx..(idx + chunk_size).min(images.len())];
+        let mut rest = images.into_iter().peekable();
+        while rest.peek().is_some() {
+            let chunk: Vec<(u64, Vec<u8>)> = rest.by_ref().take(chunk_size).collect();
             let needed = chunk.len() as u64 + 2;
             if self.write_ptr + needed > self.geo.journal_blocks {
-                self.checkpoint(dev)?;
+                self.checkpoint(pages)?;
             }
             if self.write_ptr + needed > self.geo.journal_blocks {
                 return Err(FsError::Internal {
@@ -122,38 +127,42 @@ impl JournalMgr {
                 })
                 .collect();
             let base = self.geo.journal_start + self.write_ptr;
-            dev.write_block(base, &journal::encode_descriptor(seq, &tags))?;
-            for (i, (_, img)) in chunk.iter().enumerate() {
-                dev.write_block(base + 1 + i as u64, img)?;
-            }
-            // all record content durable before the commit block
-            dev.flush()?;
+            let mut records = Vec::with_capacity(chunk.len() + 1);
+            records.push((base, journal::encode_descriptor(seq, &tags)));
+            records.extend(
+                (base + 1..)
+                    .zip(&chunk)
+                    .map(|(bno, (_, img))| (bno, img.clone())),
+            );
+            // all record content and ordered data durable before the
+            // commit block
+            pages.flush_data(records)?;
+            let dev = pages.device();
             dev.write_block(base + 1 + chunk.len() as u64, &journal::encode_commit(seq))?;
             dev.flush()?;
 
             self.write_ptr += needed;
             self.next_seq += 1;
             self.commits += 1;
-            for (bno, img) in chunk {
-                self.pending.insert(*bno, img.clone());
-            }
-            idx += chunk.len();
+            self.pending.extend(chunk);
         }
         Ok(())
     }
 
-    /// Write all committed images home, then reset the journal.
-    pub(crate) fn checkpoint<D: BlockDevice + ?Sized>(&mut self, dev: &D) -> FsResult<()> {
+    /// Write all committed images home as one write-back batch, then
+    /// reset the journal.
+    pub(crate) fn checkpoint(&mut self, pages: &PageCache) -> FsResult<()> {
         if self.pending.is_empty() && self.write_ptr == 1 {
             return Ok(());
         }
-        let mut homes: Vec<(&u64, &Vec<u8>)> = self.pending.iter().collect();
-        homes.sort_by_key(|(b, _)| **b);
-        for (bno, img) in homes {
-            dev.write_block(*bno, img)?;
-        }
-        dev.flush()?;
-        journal::reset(dev, &self.geo, self.next_seq)?;
+        let mut homes: Vec<(u64, Vec<u8>)> = self
+            .pending
+            .iter()
+            .map(|(&bno, img)| (bno, img.clone()))
+            .collect();
+        homes.sort_unstable_by_key(|(b, _)| *b);
+        pages.flush_data(homes)?;
+        journal::reset(pages.device(), &self.geo, self.next_seq)?;
         self.pending.clear();
         self.write_ptr = 1;
         self.checkpoints += 1;
@@ -182,14 +191,22 @@ impl JournalMgr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rae_blockdev::{BlockDevice, MemDisk, BLOCK_SIZE};
+    use rae_blockdev::{
+        BlockDevice, DiskFaultPlan, FaultTarget, FaultyDisk, MemDisk, QueueConfig, TriggerMode,
+        BLOCK_SIZE,
+    };
     use rae_fsformat::{mkfs, MkfsParams};
 
-    fn setup() -> (MemDisk, Geometry, JournalMgr) {
-        let dev = MemDisk::new(4096);
-        let geo = mkfs(&dev, MkfsParams::default()).unwrap();
-        let mgr = JournalMgr::new(geo, 0);
-        (dev, geo, mgr)
+    fn setup() -> (Arc<MemDisk>, PageCache, Geometry, JournalMgr) {
+        let dev = Arc::new(MemDisk::new(4096));
+        let (pc, geo, mgr) = setup_on(dev.clone());
+        (dev, pc, geo, mgr)
+    }
+
+    fn setup_on<D: BlockDevice + 'static>(dev: Arc<D>) -> (PageCache, Geometry, JournalMgr) {
+        let geo = mkfs(dev.as_ref(), MkfsParams::default()).unwrap();
+        let pc = PageCache::new(dev, 64, QueueConfig::default());
+        (pc, geo, JournalMgr::new(geo, 0))
     }
 
     fn img(fill: u8) -> Vec<u8> {
@@ -198,9 +215,9 @@ mod tests {
 
     #[test]
     fn committed_images_replay_after_crash() {
-        let (dev, geo, mut mgr) = setup();
+        let (dev, pc, geo, mut mgr) = setup();
         let target = geo.data_start + 5;
-        mgr.commit(&dev, vec![(target, img(0xAB))]).unwrap();
+        mgr.commit(&pc, vec![(target, img(0xAB))]).unwrap();
 
         // crash before checkpoint: home location still stale
         let mut raw = img(0);
@@ -216,10 +233,10 @@ mod tests {
 
     #[test]
     fn checkpoint_writes_home_and_empties_journal() {
-        let (dev, geo, mut mgr) = setup();
+        let (dev, pc, geo, mut mgr) = setup();
         let target = geo.data_start + 9;
-        mgr.commit(&dev, vec![(target, img(0x77))]).unwrap();
-        mgr.checkpoint(&dev).unwrap();
+        mgr.commit(&pc, vec![(target, img(0x77))]).unwrap();
+        mgr.checkpoint(&pc).unwrap();
         assert_eq!(mgr.pending_blocks(), 0);
 
         let mut raw = img(0);
@@ -232,11 +249,11 @@ mod tests {
 
     #[test]
     fn multiple_commits_replay_in_order() {
-        let (dev, geo, mut mgr) = setup();
+        let (dev, pc, geo, mut mgr) = setup();
         let target = geo.data_start;
-        mgr.commit(&dev, vec![(target, img(1))]).unwrap();
-        mgr.commit(&dev, vec![(target, img(2))]).unwrap();
-        mgr.commit(&dev, vec![(target, img(3))]).unwrap();
+        mgr.commit(&pc, vec![(target, img(1))]).unwrap();
+        mgr.commit(&pc, vec![(target, img(2))]).unwrap();
+        mgr.commit(&pc, vec![(target, img(3))]).unwrap();
         let report = journal::replay(&dev, &geo).unwrap();
         assert_eq!(report.transactions, 3);
         let mut raw = img(0);
@@ -246,12 +263,12 @@ mod tests {
 
     #[test]
     fn auto_checkpoint_when_journal_fills() {
-        let (dev, geo, mut mgr) = setup();
+        let (dev, pc, geo, mut mgr) = setup();
         // each commit consumes 3 blocks of the 255-block record area
         let mut expected_fill = 0u8;
         for i in 0..200u64 {
             expected_fill = (i % 250) as u8 + 1;
-            mgr.commit(&dev, vec![(geo.data_start + 1, img(expected_fill))])
+            mgr.commit(&pc, vec![(geo.data_start + 1, img(expected_fill))])
                 .unwrap();
         }
         assert!(mgr.checkpoints() > 0, "journal wrapped via checkpoint");
@@ -264,12 +281,12 @@ mod tests {
 
     #[test]
     fn oversized_commit_splits_into_transactions() {
-        let (dev, geo, mut mgr) = setup();
+        let (dev, pc, geo, mut mgr) = setup();
         // journal record area is 255 blocks; 300 images must split
         let images: Vec<(u64, Vec<u8>)> = (0..300)
             .map(|i| (geo.data_start + 10 + i, img((i % 251) as u8)))
             .collect();
-        mgr.commit(&dev, images).unwrap();
+        mgr.commit(&pc, images).unwrap();
         journal::replay(&dev, &geo).unwrap();
         let mut raw = img(0);
         dev.read_block(geo.data_start + 10 + 299, &mut raw).unwrap();
@@ -278,16 +295,59 @@ mod tests {
 
     #[test]
     fn empty_commit_is_free() {
-        let (dev, _geo, mut mgr) = setup();
-        mgr.commit(&dev, vec![]).unwrap();
+        let (_dev, pc, _geo, mut mgr) = setup();
+        mgr.commit(&pc, vec![]).unwrap();
         assert_eq!(mgr.commits(), 0);
     }
 
     #[test]
+    fn failed_record_write_leaves_no_transaction() {
+        let dev = Arc::new(FaultyDisk::new(MemDisk::new(4096)));
+        let (pc, geo, mut mgr) = setup_on(dev.clone());
+        // the first transaction takes journal blocks 1-3; the second's
+        // descriptor, image and commit block go to 4, 5 and 6
+        let image_block = geo.journal_start + 5;
+        dev.set_plan(
+            DiskFaultPlan::new().fail_writes(FaultTarget::Block(image_block), TriggerMode::Nth(1)),
+        );
+        let (t1, t2) = (geo.data_start + 1, geo.data_start + 2);
+        mgr.commit(&pc, vec![(t1, img(0x11))]).unwrap();
+        let before = (
+            mgr.write_ptr,
+            mgr.next_seq,
+            mgr.commits(),
+            mgr.pending_blocks(),
+        );
+
+        let err = mgr.commit(&pc, vec![(t2, img(0x22))]).unwrap_err();
+        assert!(matches!(err, FsError::IoFailed { .. }), "{err:?}");
+        assert_eq!(dev.injected_faults(), 1);
+        let after = (
+            mgr.write_ptr,
+            mgr.next_seq,
+            mgr.commits(),
+            mgr.pending_blocks(),
+        );
+        assert_eq!(after, before, "a failed commit changes nothing");
+        let mut raw = img(0);
+        dev.read_block(image_block + 1, &mut raw).unwrap();
+        assert!(!journal::is_commit(&raw, mgr.next_seq), "no commit block");
+
+        mgr.commit(&pc, vec![(t1, img(0x33))]).unwrap();
+        assert_eq!(mgr.commits(), 2);
+        let report = journal::replay(&dev, &geo).unwrap();
+        assert_eq!(report.transactions, 2, "exactly the successful commits");
+        dev.read_block(t1, &mut raw).unwrap();
+        assert_eq!(raw[0], 0x33);
+        dev.read_block(t2, &mut raw).unwrap();
+        assert_eq!(raw[0], 0, "the failed transaction never applies");
+    }
+
+    #[test]
     fn drop_pending_prevents_stale_checkpoint_overwrite() {
-        let (dev, geo, mut mgr) = setup();
+        let (dev, pc, geo, mut mgr) = setup();
         let target = geo.data_start + 3;
-        mgr.commit(&dev, vec![(target, img(0xEE))]).unwrap();
+        mgr.commit(&pc, vec![(target, img(0xEE))]).unwrap();
         assert_eq!(mgr.pending_blocks(), 1);
 
         // the block is freed and reused as file data, which reaches its
@@ -296,7 +356,7 @@ mod tests {
         assert_eq!(mgr.pending_blocks(), 0);
         dev.write_block(target, &img(0x42)).unwrap();
 
-        mgr.checkpoint(&dev).unwrap();
+        mgr.checkpoint(&pc).unwrap();
         let mut raw = img(0);
         dev.read_block(target, &mut raw).unwrap();
         assert_eq!(raw[0], 0x42, "checkpoint must not resurrect a freed image");
@@ -304,9 +364,9 @@ mod tests {
 
     #[test]
     fn torn_commit_is_discarded_by_replay() {
-        let (dev, geo, mut mgr) = setup();
+        let (dev, pc, geo, mut mgr) = setup();
         let t1 = geo.data_start + 1;
-        mgr.commit(&dev, vec![(t1, img(0x11))]).unwrap();
+        mgr.commit(&pc, vec![(t1, img(0x11))]).unwrap();
 
         // hand-write a descriptor for the *next* seq without a commit
         // block (simulating a crash mid-commit)

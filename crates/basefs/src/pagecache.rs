@@ -4,8 +4,8 @@
 //!
 //! * **Data** pages — evictable at any time; dirty data pages drain
 //!   through the asynchronous write-back queue (and are force-drained by
-//!   [`PageCache::flush_data`], the ordered-mode barrier before a
-//!   journal commit);
+//!   [`PageCache::flush_data`], the ordered-mode barrier that carries a
+//!   journal transaction's records in the same batch);
 //! * **Meta** pages — dirty metadata is *pinned*: it may only reach the
 //!   disk through the journal (write-ahead rule), so eviction skips it
 //!   and [`PageCache::take_dirty_meta`] hands the images to the journal
@@ -444,21 +444,21 @@ impl PageCache {
         self.evict_if_needed(&mut shard)
     }
 
-    /// Drop the cached copy of a *freed* metadata block.
+    /// Drop the cached copy of a *freed* block, whatever its class.
     ///
-    /// A freed block's still-dirty page must not survive to the next
-    /// journal commit: the commit would journal a stale image of a
+    /// A freed block's still-dirty meta page must not survive to the
+    /// next journal commit: the commit would journal a stale image of a
     /// block that may since have been reallocated (possibly as data),
-    /// and checkpoint/replay would clobber the new content. Meta pages
-    /// are never in the write-back queue and freed blocks are always
-    /// fully rewritten before reuse, so dropping the page outright is
-    /// safe. Data-class or absent entries are left untouched.
-    pub fn discard_meta(&self, bno: u64) {
+    /// and checkpoint/replay would clobber the new content. A freed
+    /// block's dirty data page is dead, so writing it back would only
+    /// spend device time and hold memory until eviction. Freed blocks
+    /// are always fully rewritten before reuse, so dropping the page
+    /// outright is safe. An in-flight copy stays: it is what the queued
+    /// write will leave on the device.
+    pub fn forget(&self, bno: u64) {
         let mut shard = self.shard_for(bno).lock();
-        let is_meta = matches!(shard.map.get(&bno), Some(p) if p.class == PageClass::Meta);
-        if is_meta {
-            let page = shard.map.remove(&bno).expect("checked above");
-            if page.dirty {
+        if let Some(page) = shard.map.remove(&bno) {
+            if page.class == PageClass::Meta && page.dirty {
                 self.dirty_meta.fetch_sub(1, Ordering::Relaxed);
             }
         }
@@ -535,29 +535,29 @@ impl PageCache {
         self.dirty_meta.load(Ordering::Relaxed)
     }
 
-    /// Submit every dirty data page to the write-back queue and wait
-    /// for the barrier (ordered-mode data flush).
+    /// Write every dirty data page and the `extra` block images (a
+    /// journal transaction's records, or a checkpoint's home images) as
+    /// one write-back barrier: the writes overlap across the queues,
+    /// then one device flush covers them all (ordered-mode data flush).
+    /// The extras bypass the cache, so they must be blocks no reader
+    /// fills from the device (journal records) or whose cached or
+    /// in-flight copy already holds the same image (checkpoint homes).
     ///
     /// # Errors
     ///
     /// Asynchronous write errors surfacing at the barrier.
-    pub fn flush_data(&self) -> FsResult<()> {
+    pub fn flush_data(&self, extra: Vec<(u64, Vec<u8>)>) -> FsResult<()> {
+        let mut batch = extra;
         for stripe in &self.shards {
             let mut shard = stripe.lock();
-            let dirty: Vec<u64> = shard
-                .map
-                .iter()
-                .filter(|(_, p)| p.class == PageClass::Data && p.dirty)
-                .map(|(&b, _)| b)
-                .collect();
-            for bno in dirty {
-                let p = shard.map.get_mut(&bno).expect("listed above");
-                p.dirty = false;
-                let data = p.data.clone();
-                self.queue.submit(bno, data)?;
+            for (&bno, p) in shard.map.iter_mut() {
+                if p.class == PageClass::Data && p.dirty {
+                    p.dirty = false;
+                    batch.push((bno, p.data.clone()));
+                }
             }
         }
-        self.queue.barrier()?;
+        self.queue.barrier(batch)?;
         // every queued write has landed: in-flight copies are now
         // redundant with the device
         for stripe in &self.shards {
@@ -574,7 +574,7 @@ impl PageCache {
     ///
     /// Stale asynchronous write errors surfacing at the barrier.
     pub fn quiesce(&self) -> FsResult<()> {
-        self.queue.barrier()?;
+        self.queue.barrier(Vec::new())?;
         for stripe in &self.shards {
             stripe.lock().inflight.clear();
         }
@@ -592,6 +592,11 @@ impl PageCache {
             shard.inflight.clear();
         }
         self.dirty_meta.store(0, Ordering::Relaxed);
+    }
+
+    /// The device the cache reads and writes back to.
+    pub(crate) fn device(&self) -> &dyn BlockDevice {
+        self.dev.as_ref()
     }
 
     /// Cache statistics.
@@ -612,7 +617,7 @@ impl PageCache {
 
     /// Whether a page is resident (test observability).
     #[cfg(test)]
-    fn resident_contains(&self, bno: u64) -> bool {
+    pub(crate) fn resident_contains(&self, bno: u64) -> bool {
         self.shard_for(bno).lock().map.contains_key(&bno)
     }
 
@@ -689,7 +694,7 @@ mod tests {
         dev.read_block(2, &mut raw).unwrap();
         assert_eq!(raw[0], 0);
         // flush pushes it out
-        pc.flush_data().unwrap();
+        pc.flush_data(Vec::new()).unwrap();
         dev.read_block(2, &mut raw).unwrap();
         assert_eq!(raw[0], 9);
     }
@@ -701,7 +706,7 @@ mod tests {
         pc.write(1, block(2), PageClass::Data).unwrap();
         pc.write(2, block(3), PageClass::Data).unwrap(); // evicts block 0
         assert!(pc.resident() <= 2);
-        pc.flush_data().unwrap(); // barrier also waits for eviction writes
+        pc.flush_data(Vec::new()).unwrap(); // barrier also waits for eviction writes
         let mut raw = block(0);
         dev.read_block(0, &mut raw).unwrap();
         assert_eq!(raw[0], 1, "evicted dirty page reached the disk");
@@ -717,7 +722,7 @@ mod tests {
         for i in 2..6 {
             pc.write(i, block(i as u8), PageClass::Data).unwrap();
         }
-        pc.flush_data().unwrap();
+        pc.flush_data(Vec::new()).unwrap();
         let mut raw = block(0);
         dev.read_block(0, &mut raw).unwrap();
         assert_eq!(raw[0], 0, "dirty metadata never reaches disk directly");
@@ -813,7 +818,7 @@ mod tests {
         assert!(pc.resident() <= 2);
         // re-read must see the committed image, not the stale device
         assert_eq!(pc.read(0, PageClass::Meta).unwrap()[0], 7);
-        pc.flush_data().unwrap();
+        pc.flush_data(Vec::new()).unwrap();
         let mut raw = block(0);
         dev.read_block(0, &mut raw).unwrap();
         assert_eq!(raw[0], 7, "eviction wrote the committed image home");
@@ -830,7 +835,7 @@ mod tests {
         pc.write(1, block(2), PageClass::Data).unwrap();
         pc.write(2, block(3), PageClass::Data).unwrap();
         pc.write(3, block(4), PageClass::Data).unwrap();
-        pc.flush_data().unwrap();
+        pc.flush_data(Vec::new()).unwrap();
         let mut raw = block(9);
         dev.read_block(0, &mut raw).unwrap();
         assert_eq!(raw[0], 0, "no write-back for checkpointed meta");
@@ -960,7 +965,7 @@ mod writeback_race_tests {
                 "round {round}: stale read after eviction"
             );
         }
-        pc.flush_data().unwrap();
+        pc.flush_data(Vec::new()).unwrap();
         let mut raw = vec![0u8; BLOCK_SIZE];
         dev.read_block(0, &mut raw).unwrap();
         assert!(raw.iter().all(|&b| b == 49));
@@ -973,7 +978,7 @@ mod writeback_race_tests {
         pc.write(0, vec![1; BLOCK_SIZE], PageClass::Data).unwrap();
         pc.write(1, vec![2; BLOCK_SIZE], PageClass::Data).unwrap();
         pc.write(2, vec![3; BLOCK_SIZE], PageClass::Data).unwrap();
-        pc.flush_data().unwrap();
+        pc.flush_data(Vec::new()).unwrap();
         assert_eq!(pc.inflight_len(), 0);
     }
 }

@@ -15,7 +15,6 @@
 //! * [`RetryDisk`] — a wrapper absorbing transient-class errors with a
 //!   deterministic, seeded exponential backoff and a bounded attempt
 //!   budget (the recovery ladder's retry rung);
-//! * [`StatsDisk`] — a transparent I/O accounting wrapper;
 //! * [`TrackedDisk`] — a wrapper recording the written-block set, so
 //!   the warm standby's recovery resync visits only touched blocks;
 //! * [`WritebackQueue`] — a blk-mq-flavoured multi-queue asynchronous
@@ -48,7 +47,6 @@ mod file;
 mod mem;
 mod queue;
 mod retry;
-mod stats;
 mod tracked;
 
 pub use device::{zeroed_block, BlockDevice, IoPhase, BLOCK_SIZE};
@@ -60,5 +58,4 @@ pub use file::FileDisk;
 pub use mem::MemDisk;
 pub use queue::{QueueConfig, WritebackQueue};
 pub use retry::{classify_error, ErrorClass, RetryDisk, RetryPolicy, RetryStats};
-pub use stats::{DiskCounters, StatsDisk};
 pub use tracked::TrackedDisk;

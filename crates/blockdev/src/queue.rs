@@ -6,7 +6,10 @@
 //! queue, preserving per-block ordering — as blk-mq does per hctx).
 //! Write errors are reported *asynchronously*: they surface at the next
 //! [`WritebackQueue::barrier`], exactly like write-back errors surfacing
-//! at `fsync` time in Linux.
+//! at `fsync` time in Linux. A barrier can carry a batch of writes of
+//! its own: each queue writes its share, so the batch's latency
+//! overlaps across queues, and one wait and one device flush cover it
+//! (how JBD2 submits a transaction's blocks and waits once).
 
 use crate::device::BlockDevice;
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -36,8 +39,15 @@ impl Default for QueueConfig {
 }
 
 enum Msg {
-    Write { bno: u64, data: Vec<u8> },
-    Barrier(Sender<()>),
+    Write {
+        bno: u64,
+        data: Vec<u8>,
+    },
+    /// Write this queue's share of a barrier's batch, then acknowledge.
+    Barrier {
+        writes: Vec<(u64, Vec<u8>)>,
+        ack: Sender<()>,
+    },
 }
 
 /// Multi-queue asynchronous write-back over a shared [`BlockDevice`].
@@ -93,15 +103,19 @@ impl WritebackQueue {
             let handle = std::thread::Builder::new()
                 .name(format!("rae-wbq-{qi}"))
                 .spawn(move || {
+                    let write = |bno: u64, data: &[u8]| {
+                        if let Err(e) = dev.write_block(bno, data) {
+                            errs.lock().get_or_insert(e);
+                        }
+                        done.fetch_add(1, Ordering::Release);
+                    };
                     for msg in rx {
                         match msg {
-                            Msg::Write { bno, data } => {
-                                if let Err(e) = dev.write_block(bno, &data) {
-                                    errs.lock().get_or_insert(e);
+                            Msg::Write { bno, data } => write(bno, &data),
+                            Msg::Barrier { writes, ack } => {
+                                for (bno, data) in writes {
+                                    write(bno, &data);
                                 }
-                                done.fetch_add(1, Ordering::Release);
-                            }
-                            Msg::Barrier(ack) => {
                                 let _ = ack.send(());
                             }
                         }
@@ -144,31 +158,44 @@ impl WritebackQueue {
             })
     }
 
-    /// Completion + durability barrier.
+    /// Completion + durability barrier over `writes` and everything
+    /// submitted before it.
     ///
-    /// Waits for every previously submitted write to complete on every
-    /// queue, flushes the device, and reports any asynchronous write
-    /// error that occurred since the last barrier.
+    /// Routes each write of the batch to its block's queue (as
+    /// [`WritebackQueue::submit`] does, so it never overtakes an earlier
+    /// write of the same block), waits for every queue to finish its
+    /// share and everything queued ahead of it, flushes the device, and
+    /// reports any asynchronous write error that occurred since the last
+    /// barrier. The batch's writes land in no particular order.
     ///
-    /// When every write ever submitted had completed before the last
-    /// barrier that flushed successfully, there is nothing to wait for,
-    /// report or flush, and the barrier returns at once. Writes that
-    /// bypass the queue are not covered: their callers flush the device
-    /// themselves.
+    /// When `writes` is empty and every write ever submitted had
+    /// completed before the last barrier that flushed successfully,
+    /// there is nothing to wait for, report or flush, and the barrier
+    /// returns at once. Writes that bypass the queue are not covered:
+    /// their callers flush the device themselves.
     ///
     /// # Errors
     ///
     /// The first queued asynchronous write error, or the flush error.
-    pub fn barrier(&self) -> FsResult<()> {
+    pub fn barrier(&self, writes: Vec<(u64, Vec<u8>)>) -> FsResult<()> {
         // Acquire pairs with the Release that stores `flushed`: a barrier
         // that returns here happens after the flush covering every write
-        if self.submitted.load(Ordering::Relaxed) == self.flushed.load(Ordering::Acquire) {
+        if writes.is_empty()
+            && self.submitted.load(Ordering::Relaxed) == self.flushed.load(Ordering::Acquire)
+        {
             return Ok(());
+        }
+        self.submitted
+            .fetch_add(writes.len() as u64, Ordering::Relaxed);
+        let mut shares: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); self.senders.len()];
+        for (bno, data) in writes {
+            shares[self.route(bno)].push((bno, data));
         }
         let (ack_tx, ack_rx) = bounded(self.senders.len());
         let mut expected = 0;
-        for s in &self.senders {
-            if s.send(Msg::Barrier(ack_tx.clone())).is_ok() {
+        for (s, writes) in self.senders.iter().zip(shares) {
+            let ack = ack_tx.clone();
+            if s.send(Msg::Barrier { writes, ack }).is_ok() {
                 expected += 1;
             }
         }
@@ -225,7 +252,7 @@ mod tests {
         for i in 0..16u64 {
             q.submit(i, vec![i as u8; BLOCK_SIZE]).unwrap();
         }
-        q.barrier().unwrap();
+        q.barrier(Vec::new()).unwrap();
         assert_eq!(q.submitted(), 16);
         assert_eq!(q.completed(), 16);
         for i in 0..16u64 {
@@ -248,7 +275,7 @@ mod tests {
         for v in 0..100u8 {
             q.submit(2, vec![v; BLOCK_SIZE]).unwrap();
         }
-        q.barrier().unwrap();
+        q.barrier(Vec::new()).unwrap();
         let mut r = vec![0u8; BLOCK_SIZE];
         disk.read_block(2, &mut r).unwrap();
         assert!(r.iter().all(|&b| b == 99));
@@ -260,18 +287,18 @@ mod tests {
         let disk: Arc<dyn BlockDevice> = Arc::new(FaultyDisk::with_plan(MemDisk::new(8), plan));
         let q = WritebackQueue::new(disk, QueueConfig::default());
         q.submit(3, vec![1; BLOCK_SIZE]).unwrap();
-        let err = q.barrier().unwrap_err();
+        let err = q.barrier(Vec::new()).unwrap_err();
         assert!(matches!(err, FsError::IoFailed { .. }));
         // error consumed; next barrier is clean
-        q.barrier().unwrap();
+        q.barrier(Vec::new()).unwrap();
     }
 
     #[test]
     fn barrier_on_idle_queue_is_ok() {
         let disk = Arc::new(MemDisk::new(1));
         let q = WritebackQueue::new(disk, QueueConfig::default());
-        q.barrier().unwrap();
-        q.barrier().unwrap();
+        q.barrier(Vec::new()).unwrap();
+        q.barrier(Vec::new()).unwrap();
     }
 
     /// Counts device flushes; everything else passes through.
@@ -313,16 +340,39 @@ mod tests {
     fn barrier_without_new_submissions_issues_no_flush() {
         let disk = FlushCounter::new(MemDisk::new(4));
         let q = WritebackQueue::new(disk.clone(), QueueConfig::default());
-        q.barrier().unwrap();
-        q.barrier().unwrap();
+        q.barrier(Vec::new()).unwrap();
+        q.barrier(Vec::new()).unwrap();
         assert_eq!(disk.flushes(), 0, "nothing was ever submitted");
         q.submit(1, vec![3; BLOCK_SIZE]).unwrap();
-        q.barrier().unwrap();
+        q.barrier(Vec::new()).unwrap();
         assert_eq!(disk.flushes(), 1, "a barrier after a submit flushes");
-        q.barrier().unwrap();
+        q.barrier(Vec::new()).unwrap();
         assert_eq!(disk.flushes(), 1, "nothing submitted since the last flush");
         q.submit(2, vec![4; BLOCK_SIZE]).unwrap();
-        q.barrier().unwrap();
+        q.barrier(Vec::new()).unwrap();
+        assert_eq!(disk.flushes(), 2);
+    }
+
+    #[test]
+    fn barrier_batch_lands_behind_earlier_writes_with_one_flush() {
+        let disk = FlushCounter::new(MemDisk::new(8));
+        let q = WritebackQueue::new(disk.clone(), QueueConfig::default());
+        q.submit(2, vec![1; BLOCK_SIZE]).unwrap();
+        let batch: Vec<(u64, Vec<u8>)> = (0..8u64)
+            .map(|b| (b, vec![b as u8 + 10; BLOCK_SIZE]))
+            .collect();
+        q.barrier(batch).unwrap();
+        assert_eq!(disk.flushes(), 1);
+        assert_eq!((q.submitted(), q.completed()), (9, 9));
+        for b in 0..8u64 {
+            let mut r = vec![0u8; BLOCK_SIZE];
+            disk.read_block(b, &mut r).unwrap();
+            assert_eq!(r[0], b as u8 + 10, "block {b}: the batch lands last");
+        }
+        // a batch is work even when nothing else is pending
+        q.barrier(vec![(5, vec![7; BLOCK_SIZE])]).unwrap();
+        assert_eq!(disk.flushes(), 2);
+        q.barrier(Vec::new()).unwrap();
         assert_eq!(disk.flushes(), 2);
     }
 
@@ -332,12 +382,15 @@ mod tests {
         let disk = FlushCounter::new(FaultyDisk::with_plan(MemDisk::new(8), plan));
         let q = WritebackQueue::new(disk.clone(), QueueConfig::default());
         q.submit(3, vec![1; BLOCK_SIZE]).unwrap();
-        assert!(matches!(q.barrier(), Err(FsError::IoFailed { .. })));
+        assert!(matches!(
+            q.barrier(Vec::new()),
+            Err(FsError::IoFailed { .. })
+        ));
         assert_eq!(disk.flushes(), 0, "the failed barrier never flushed");
         // the write is complete, but no flush has covered it yet
-        q.barrier().unwrap();
+        q.barrier(Vec::new()).unwrap();
         assert_eq!(disk.flushes(), 1, "the barrier after the error flushes");
-        q.barrier().unwrap();
+        q.barrier(Vec::new()).unwrap();
         assert_eq!(disk.flushes(), 1);
     }
 
@@ -374,7 +427,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        q.barrier().unwrap();
+        q.barrier(Vec::new()).unwrap();
         assert_eq!(q.completed(), 64);
     }
 }

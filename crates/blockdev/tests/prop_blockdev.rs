@@ -30,7 +30,7 @@ proptest! {
         for (bno, fill) in &writes {
             q.submit(*bno, vec![*fill; BLOCK_SIZE]).unwrap();
         }
-        q.barrier().unwrap();
+        q.barrier(Vec::new()).unwrap();
         prop_assert_eq!(direct.snapshot(), queued_disk.snapshot());
     }
 
